@@ -8,10 +8,12 @@
 // for comparison, and the cost of the surrounding pipeline stages (SoC
 // simulation and feature extraction).
 //
-// After the google-benchmark suite runs, main() self-times the per-sample
-// vs batched inference paths and the CSV vs binary bundle cache and writes
-// a machine-readable BENCH_latency.json summary into the working
-// directory, so the perf trajectory is tracked PR-over-PR.
+// Given --out=PATH, main() then self-times the per-sample vs batched
+// inference paths and the CSV vs binary bundle cache after the
+// google-benchmark suite and writes the machine-readable summary to PATH
+// (the tracked copy is BENCH_latency.json at the repository root). Without
+// --out nothing is written, so --benchmark_filter and
+// --benchmark_list_tests runs never overwrite a recorded summary.
 
 #include <benchmark/benchmark.h>
 
@@ -1299,9 +1301,22 @@ void write_summary_json(const char* path) {
 
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
+  // Take --out=PATH out of argv before google-benchmark vets what is left.
+  std::string out_path;
+  int kept = 1;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--out=", 0) == 0) {
+      out_path = arg.substr(6);
+    } else {
+      argv[kept++] = argv[i];
+    }
+  }
+  argc = kept;
+  argv[argc] = nullptr;
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  write_summary_json("BENCH_latency.json");
+  if (!out_path.empty()) write_summary_json(out_path.c_str());
   return 0;
 }

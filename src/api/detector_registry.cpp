@@ -79,11 +79,16 @@ std::chrono::milliseconds backoff_delay(const RetryPolicy& policy,
 
 /// The residency ledger's idea of a detector's footprint: the flat
 /// engine's arena (which for a v2 mmap load *is* the mapped artifact
-/// payload). Floor of 1 so even an exotic zero-reporting detector stays
-/// visible to the eviction accounting.
+/// payload) plus its installed native code — a tier-up grows it while
+/// the detector serves (see DetectorRegistry::readmit_if_grown). Floor of
+/// 1 so even an exotic zero-reporting detector stays visible to the
+/// eviction accounting.
 std::size_t resident_footprint(const core::TrustedHmd& detector) {
   const std::size_t bytes =
-      detector.uses_flat_engine() ? detector.engine().memory_bytes() : 0;
+      detector.uses_flat_engine()
+          ? detector.engine().memory_bytes() +
+                detector.engine().jit_code_bytes()
+          : 0;
   return std::max<std::size_t>(1, bytes);
 }
 
@@ -202,9 +207,32 @@ void DetectorRegistry::rebuild_filter() {
 }
 
 std::shared_ptr<const core::TrustedHmd> DetectorRegistry::snapshot(
-    const Entry& entry) {
+    const Entry& entry, std::size_t* admitted_bytes) {
   const std::lock_guard<std::mutex> lock(entry.state_mutex);
+  if (admitted_bytes != nullptr) *admitted_bytes = entry.resident_bytes;
   return entry.detector;
+}
+
+void DetectorRegistry::readmit_if_grown(const std::shared_ptr<Entry>& entry,
+                                        const core::TrustedHmd& detector,
+                                        std::size_t admitted_bytes) const {
+  const std::size_t bytes = resident_footprint(detector);
+  if (bytes == admitted_bytes) return;
+  // A load of this key holds load_mutex while it publishes and admits
+  // its own footprint; skip rather than wait behind it — the next hit
+  // checks again.
+  const std::unique_lock<std::mutex> load_lock(entry->load_mutex,
+                                               std::try_to_lock);
+  if (!load_lock.owns_lock()) return;
+  {
+    const std::lock_guard<std::mutex> lock(entry->state_mutex);
+    if (entry->detector.get() != &detector) return;  // swapped meanwhile
+    entry->resident_bytes = bytes;
+  }
+  // Outside the leaf lock (lock order: manager mutex -> entry leaf lock).
+  // The caller's snapshot pins this entry through the sweep, exactly like
+  // a fresh load's admit.
+  residency_.admit(entry, bytes);
 }
 
 std::shared_ptr<DetectorRegistry::Entry> DetectorRegistry::find_entry(
@@ -318,8 +346,10 @@ std::shared_ptr<const core::TrustedHmd> DetectorRegistry::try_get(
   // Fast path: already loaded — one leaf-lock pointer copy, no I/O
   // locks, no serialisation against loads of any key (even this one:
   // refresh() publishes the swapped detector with the same leaf lock).
-  if (auto loaded = snapshot(*entry)) {
+  std::size_t admitted_bytes = 0;
+  if (auto loaded = snapshot(*entry, &admitted_bytes)) {
     touch(*entry);
+    readmit_if_grown(entry, *loaded, admitted_bytes);
     return loaded;
   }
   // Slow path: first load, or a reload after eviction. load_mutex makes

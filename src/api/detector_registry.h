@@ -47,7 +47,11 @@
 // A byte budget (FleetOptions::residency_budget_bytes, hmd_serve
 // --residency-mb) bounds how much artifact data stays resident: when a
 // load pushes the total over, the coldest unleased entries are unmapped
-// (fleet/residency.h). Eviction drops only the detector — the key stays
+// (fleet/residency.h). A detector's footprint is its arena plus its
+// installed JIT code; a background tier-up grows it after the load, and
+// the key's next get() hit re-admits it with the new byte count (which
+// may evict colder entries, or this one once it is unleased). Eviction
+// drops only the detector — and with it the code — the key stays
 // registered, its health history (including quarantine state) is kept,
 // and the next get() transparently reloads. An entry whose snapshot is
 // held by an in-flight batch is lease-pinned and never evicted.
@@ -355,8 +359,21 @@ class DetectorRegistry {
     std::size_t residency_evict() override;
   };
 
-  /// The published snapshot (null when not yet loaded / evicted).
-  static std::shared_ptr<const core::TrustedHmd> snapshot(const Entry& entry);
+  /// The published snapshot (null when not yet loaded / evicted), and,
+  /// when asked, the footprint it was admitted with — read in the same
+  /// leaf-lock section.
+  static std::shared_ptr<const core::TrustedHmd> snapshot(
+      const Entry& entry, std::size_t* admitted_bytes = nullptr);
+
+  /// Re-admit `entry` when its footprint differs from `admitted_bytes` —
+  /// a background JIT tier-up installed code after the load — so the
+  /// residency budget bounds code too. `detector` is the caller's
+  /// snapshot of the entry (its lease pins the entry through the admit's
+  /// sweep). Never waits on a load of the same key: skips, and the next
+  /// hit re-checks.
+  void readmit_if_grown(const std::shared_ptr<Entry>& entry,
+                        const core::TrustedHmd& detector,
+                        std::size_t admitted_bytes) const;
 
   /// Load entry's artifact with retry/backoff/fallback, publish it, and
   /// admit it to the residency tracker — or record the failure (health

@@ -27,7 +27,10 @@
 //
 // Instrumented sites: artifact.load (core::load_model entry),
 // mmap.map (MappedFile::map), registry.load (DetectorRegistry's per-entry
-// load attempt, before the loader runs).
+// load attempt, before the loader runs), jit.compile (once per tree of a
+// jit::compile_forest call, which turns an error into a declined compile)
+// and loadgen.send (the top of serve::run_load's send loop, on the client
+// side).
 
 #include <atomic>
 #include <cstddef>

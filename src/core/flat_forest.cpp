@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
+#include <mutex>
 
 #include "common/binary_io.h"
 #include "common/error.h"
@@ -13,7 +14,23 @@
 
 namespace hmd::core {
 
-FlatForestEngine::~FlatForestEngine() = default;
+struct FlatForestEngine::TierUp {
+  explicit TierUp(FlatForestEngine* owner) : engine(owner) {}
+  /// Set by the engine's destructor; a queued compile then never starts
+  /// and a running one stops at its next tree.
+  std::atomic<bool> cancel{false};
+  /// Held by a compile for as long as it reads or installs into `engine`;
+  /// the destructor takes it after setting `cancel`, so the engine
+  /// outlives every compile that started before it died.
+  std::mutex busy;
+  FlatForestEngine* const engine;
+};
+
+FlatForestEngine::~FlatForestEngine() {
+  if (tier_ == nullptr) return;
+  tier_->cancel.store(true, std::memory_order_release);
+  const std::lock_guard<std::mutex> wait_for_compile(tier_->busy);
+}
 
 std::unique_ptr<FlatForestEngine> FlatForestEngine::compile(
     const ml::Bagging& ensemble) {
@@ -329,35 +346,95 @@ void FlatForestEngine::jit_kernel(const FlatForestEngine& self,
                                   const double* xt, std::size_t tile,
                                   double* votes, double* sum_p1,
                                   double* sum_entropy) {
-  self.jit_->kernel(kShape)(xt, tile, votes, sum_p1, sum_entropy);
+  self.programs_[kShape].load(std::memory_order_acquire)->kernel(kShape)(
+      xt, tile, votes, sum_p1, sum_entropy);
 }
 
 void FlatForestEngine::select_kernels() {
-  kernels_[0] = &arena_kernel<false, false>;
-  kernels_[1] = &arena_kernel<true, false>;
-  kernels_[2] = &arena_kernel<false, true>;
-  kernels_[3] = &arena_kernel<true, true>;
-  jit_.reset();
+  kernels_[0].store(&arena_kernel<false, false>, std::memory_order_relaxed);
+  kernels_[1].store(&arena_kernel<true, false>, std::memory_order_relaxed);
+  kernels_[2].store(&arena_kernel<false, true>, std::memory_order_relaxed);
+  kernels_[3].store(&arena_kernel<true, true>, std::memory_order_relaxed);
   if (!jit::should_compile(*this)) return;
-  jit_ = jit::compile_forest(*this);
-  if (jit_ == nullptr) return;  // fallback: interpreted rows stay
-  kernels_[0] = &jit_kernel<0>;
-  kernels_[1] = &jit_kernel<1>;
-  kernels_[2] = &jit_kernel<2>;
-  kernels_[3] = &jit_kernel<3>;
+  if (jit::policy() == jit::Policy::kOn) {
+    install(jit::compile_forest(*this));
+  } else {
+    tier_ = std::make_shared<TierUp>(this);
+    // At most one program per shape: install() on the compile worker
+    // then never allocates, so the job cannot throw.
+    owned_programs_.reserve(4);
+  }
+}
+
+void FlatForestEngine::install(std::unique_ptr<jit::ForestProgram> program) {
+  if (program == nullptr) return;  // fallback: interpreted rows stay
+  static constexpr BatchKernelFn kJitRows[4] = {
+      &jit_kernel<0>, &jit_kernel<1>, &jit_kernel<2>, &jit_kernel<3>};
+  for (unsigned shape = 0; shape < 4; ++shape) {
+    if (program->kernel(shape) == nullptr) continue;
+    programs_[shape].store(program.get(), std::memory_order_release);
+    kernels_[shape].store(kJitRows[shape], std::memory_order_release);
+  }
+  owned_programs_.push_back(std::move(program));
+}
+
+void FlatForestEngine::note_rows(unsigned shape, std::size_t rows) const {
+  if (shape_claimed_[shape].load(std::memory_order_relaxed)) return;
+  const std::uint64_t seen =
+      shape_rows_[shape].fetch_add(rows, std::memory_order_relaxed) + rows;
+  if (seen < kJitPromoteRows) return;
+  bool expected = false;
+  if (!shape_claimed_[shape].compare_exchange_strong(
+          expected, true, std::memory_order_relaxed)) {
+    return;  // another caller claimed it first
+  }
+  jit::submit_compile([tier = tier_, shape] {
+    const std::lock_guard<std::mutex> busy(tier->busy);
+    if (tier->cancel.load(std::memory_order_acquire)) return;
+    tier->engine->install(jit::compile_forest(
+        *tier->engine, jit::shape_bit(shape), &tier->cancel));
+  });
 }
 
 std::string FlatForestEngine::kernel_backend() const {
-  if (jit_ != nullptr) return "jit";
+  for (const auto& program : programs_) {
+    if (program.load(std::memory_order_acquire) != nullptr) return "jit";
+  }
   return zero_copy() ? "arena" : "stream-fallback";
 }
 
+namespace {
+
+/// Visit each distinct installed program once (the eager compile serves
+/// all four rows from one program).
+template <typename Fn>
+void for_each_program(
+    const std::atomic<const jit::ForestProgram*> (&programs)[4], Fn&& fn) {
+  const jit::ForestProgram* seen[4] = {};
+  for (std::size_t s = 0; s < 4; ++s) {
+    seen[s] = programs[s].load(std::memory_order_acquire);
+    if (seen[s] == nullptr) continue;
+    if (std::find(seen, seen + s, seen[s]) != seen + s) continue;
+    fn(*seen[s]);
+  }
+}
+
+}  // namespace
+
 double FlatForestEngine::jit_compile_ms() const {
-  return jit_ != nullptr ? jit_->compile_ms() : 0.0;
+  double ms = 0.0;
+  for_each_program(programs_, [&](const jit::ForestProgram& p) {
+    ms += p.compile_ms();
+  });
+  return ms;
 }
 
 std::size_t FlatForestEngine::jit_code_bytes() const {
-  return jit_ != nullptr ? jit_->code_bytes() : 0;
+  std::size_t bytes = 0;
+  for_each_program(programs_, [&](const jit::ForestProgram& p) {
+    bytes += p.code_bytes();
+  });
+  return bytes;
 }
 
 void FlatForestEngine::stats_batch(const Matrix& x, ThreadPool* pool,
@@ -372,8 +449,9 @@ void FlatForestEngine::stats_batch(const Matrix& x, ThreadPool* pool,
   // of the per-row work, so the prediction-only specialisation is real.
   const bool posterior = (mask & kStatsPosterior) != 0;
   const bool entropy = (mask & kStatsEntropy) != 0;
-  const BatchKernelFn kernel =
-      kernels_[(posterior ? 1 : 0) | (entropy ? 2 : 0)];
+  const unsigned shape = (posterior ? 1u : 0u) | (entropy ? 2u : 0u);
+  if (tier_ != nullptr) note_rows(shape, x.rows());
+  const BatchKernelFn kernel = kernels_[shape].load(std::memory_order_acquire);
   const std::size_t cols = x.cols();
   auto run_tiles = [&](std::size_t tile_begin, std::size_t tile_end) {
     // Per-worker scratch, reused across this worker's tiles: the

@@ -48,17 +48,39 @@
 // stump table is always re-derived at load; it is never serialised.
 //
 // Kernel dispatch: stats_batch lowers its StatsMask to one of four tile
-// kernels through a per-engine dispatch table selected once at load time
-// (select_kernels). The table rows share one uniform signature — a tile
-// transposed at the fixed kTileRows stride, the live row count, and
-// dense vote/posterior/entropy accumulators — so a backend is just a set
-// of four rows: the interpreted arena kernels always exist, and when the
-// tree JIT is available and enabled (src/jit/jit.h) the table instead
-// points at natively compiled kernels that are bit-identical to the
-// interpreter (asserted by the JitParity suite). kernel_backend()
-// reports which rows are installed; everything above stats_batch
-// (score() lowering, the StatsMask contract) is backend-blind.
+// kernels ("shapes") through a per-engine dispatch table. The table rows
+// share one uniform signature — a tile transposed at the fixed kTileRows
+// stride, the live row count, and dense vote/posterior/entropy
+// accumulators — so a backend is just a set of rows: the interpreted
+// arena kernels always exist, and the tree JIT (src/jit/jit.h) can
+// replace any row with a natively compiled kernel that is bit-identical
+// to the interpreter (asserted by the JitParity suite). Everything above
+// stats_batch (score() lowering, the StatsMask contract) is backend-
+// blind.
+//
+// Tiering: construction (compile / load_blob / from_buffer) installs only
+// the interpreted rows, so a load, a refresh() swap or a residency reload
+// never pays a compile under the default jit::Policy::kAuto. If the
+// forest is JIT-eligible (jit::should_compile), each stats_batch call adds
+// its row count to its shape's relaxed-atomic counter — one add per call,
+// not per row. The first call that carries a shape past kJitPromoteRows
+// claims it with one CAS and queues that single shape's compile on the
+// process-wide compile worker (jit::submit_compile); the engine keeps
+// serving on the arena row meanwhile. The compiled row is installed with
+// release stores — the shape's program pointer first, then the table row
+// — and stats_batch reads the row with an acquire load, so a batch runs
+// either row whole and results stay bit-identical across the install. A
+// failed or declined compile leaves the arena row serving for good. An
+// engine destroyed with a compile pending or running sets the compile's
+// cancel flag and waits at most one tree's emission.
+//
+// jit::Policy::kOn compiles all four shapes eagerly at construction
+// through the same install path (the forcing mode of the parity suites
+// and bench_latency); kOff never compiles. The policy is read once, at
+// construction. kernel_backend(), jit_code_bytes() and jit_compile_ms()
+// read the installed state and are safe to call while a tier-up runs.
 
+#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -125,8 +147,9 @@ class FlatForestEngine final : public InferenceEngine {
            stumps_.size() * sizeof(Stump);
   }
 
-  /// Which batch-kernel rows the dispatch table holds: "jit" when the
-  /// tree JIT compiled this forest, else "arena" (the interpreter).
+  /// Which batch-kernel rows the dispatch table holds: "jit" once any
+  /// row is native code (eager kOn compile, or a tier-up), else the
+  /// interpreter ("arena", or "stream-fallback" over copied bytes).
   std::string kernel_backend() const override;
 
   std::size_t n_trees() const { return roots_.size(); }
@@ -134,12 +157,28 @@ class FlatForestEngine final : public InferenceEngine {
   std::size_t n_stumps() const { return n_stumps_; }
   std::size_t n_features() const override { return n_features_; }
 
-  /// Wall-clock cost of the JIT compile at load (0 when interpreted) and
-  /// the sealed code size — bench_latency's jit series reports both.
+  /// Wall-clock cost of the installed JIT compiles (0 when interpreted)
+  /// and their sealed code size, summed over the installed programs —
+  /// bench_latency's jit series and the registry's residency ledger read
+  /// them.
   double jit_compile_ms() const;
-  std::size_t jit_code_bytes() const;
+  std::size_t jit_code_bytes() const override;
 
   static constexpr std::size_t kTileRows = 256;
+
+  /// Scored rows of one shape after which a JIT-eligible forest compiles
+  /// that shape (kAuto tiering; see the file header). Set at the measured
+  /// break-even — one shape's compile CPU over the per-row saving of its
+  /// native kernel — on the deep HPC forest that the end-to-end benchmark
+  /// serves (245,552 nodes, M = 100; 4-vCPU Xeon, AVX-512, Release): one
+  /// shape compiles in 29-40 ms of CPU, and at 160-row batches the native
+  /// kernels save 6.4-9.5 us per row (about 50k against 78-94k rows/s on
+  /// one core), so a compile pays for itself after ~4k-6k rows of its
+  /// shape. The constant is the power of two at the low end of that
+  /// range, and far above the 256 rows of a cold start or a swap's first
+  /// batch: a key that is reloaded, swapped or evicted before it has
+  /// served real traffic never compiles.
+  static constexpr std::uint64_t kJitPromoteRows = 4096;
 
   /// One arena slot. feature < 0 marks a leaf; for leaves, threshold holds
   /// P(class 1). For internal nodes, left is the arena index of the left
@@ -214,12 +253,27 @@ class FlatForestEngine final : public InferenceEngine {
                          std::size_t tile, double* votes, double* sum_p1,
                          double* sum_entropy);
 
-  /// Fill the dispatch table — interpreted rows, then, when the JIT is
-  /// enabled and compilation succeeds, the native rows. Called once by
-  /// every construction path (compile / load_blob / from_buffer), which
-  /// on the registry path runs under the per-entry load mutex: at most
-  /// one compile per load, off the registry-wide lock.
+  /// Fill the dispatch table with the interpreted rows and decide the
+  /// engine's tiering under the current policy: kOn compiles and
+  /// installs all four shapes now, kAuto arms tier-up for an eligible
+  /// forest, anything else stays interpreted. Called once by every
+  /// construction path (compile / load_blob / from_buffer).
   void select_kernels();
+
+  /// Publish `program`'s kernels into the dispatch table, one release
+  /// store of the shape's program pointer before the row, for every
+  /// shape it holds. The one install path of the eager and the
+  /// background compile; installs never run concurrently on one engine.
+  void install(std::unique_ptr<jit::ForestProgram> program);
+
+  /// Count `rows` scored under `shape`; the call that carries the count
+  /// past kJitPromoteRows claims the shape and queues its compile.
+  void note_rows(unsigned shape, std::size_t rows) const;
+
+  /// State shared with queued/running background compiles (defined in
+  /// flat_forest.cpp): the cancel flag and the lock the compile holds
+  /// while it reads this engine.
+  struct TierUp;
 
   // Hot-path views. Either into the storage vectors below (training /
   // v1 stream load) or straight into buffer_'s mapped bytes (v2 load).
@@ -244,12 +298,20 @@ class FlatForestEngine final : public InferenceEngine {
   std::size_t n_stumps_ = 0;
 
   /// The per-engine kernel dispatch table, indexed by StatsMask shape
-  /// (posterior ? 1 : 0) | (entropy ? 2 : 0). Filled by select_kernels().
-  BatchKernelFn kernels_[4] = {nullptr, nullptr, nullptr, nullptr};
-  /// Owns the native code when the JIT rows are installed; null keeps
-  /// the interpreted rows (and is the automatic fallback everywhere the
-  /// JIT is unavailable, disabled, or declined the forest).
-  std::unique_ptr<jit::ForestProgram> jit_;
+  /// (posterior ? 1 : 0) | (entropy ? 2 : 0). Filled by select_kernels();
+  /// a row is swapped to native code by install().
+  std::atomic<BatchKernelFn> kernels_[4] = {};
+  /// The program serving each native row (null while the row is
+  /// interpreted); stored before the row it serves.
+  std::atomic<const jit::ForestProgram*> programs_[4] = {};
+  /// Owns every installed program (one per tier-up, or the eager
+  /// all-shape one). Written only by install().
+  std::vector<std::unique_ptr<const jit::ForestProgram>> owned_programs_;
+  /// Tiering state; null unless the forest may tier up (kAuto and
+  /// eligible). Rows counted per shape, and the one-shot claim per shape.
+  std::shared_ptr<TierUp> tier_;
+  mutable std::atomic<std::uint64_t> shape_rows_[4] = {};
+  mutable std::atomic<bool> shape_claimed_[4] = {};
   /// Expected input width; every node's feature index is < this (checked
   /// at load, so a corrupt artifact can never drive out-of-bounds reads).
   std::size_t n_features_ = 0;

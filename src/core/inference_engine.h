@@ -139,8 +139,8 @@ class InferenceEngine {
   virtual bool zero_copy() const { return false; }
 
   /// Which batch-kernel implementation this engine dispatches to: "jit"
-  /// when a backend compiled the model to native code at load (see
-  /// FlatForestEngine's kernel dispatch table), "arena" for the
+  /// when a backend compiled the model to native code (at load, or after
+  /// tier-up — see FlatForestEngine's kernel dispatch table), "arena" for the
   /// interpreted default over a zero-copy mapping, "stream-fallback" for
   /// the interpreted default over fully-copied bytes (the mmap-failed /
   /// --mmap=off load path). Observability only — outputs are
@@ -151,6 +151,11 @@ class InferenceEngine {
 
   /// Bytes of model state touched on the hot path (arena, weight matrix).
   virtual std::size_t memory_bytes() const = 0;
+
+  /// Bytes of native code installed for this model (0 for engines that
+  /// never compile). May grow while the engine serves: a tier-up
+  /// installs code in the background.
+  virtual std::size_t jit_code_bytes() const { return 0; }
 };
 
 }  // namespace hmd::core

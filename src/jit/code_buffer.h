@@ -54,6 +54,13 @@ class CodeBuffer {
     size_ += 8;
   }
 
+  /// Map room for `bytes` in total up front (an allocation hint: pages
+  /// are only committed when written), sparing the remap-and-copy steps
+  /// of a large emission. Valid before protect() only.
+  void reserve(std::size_t bytes) {
+    if (bytes > capacity_) grow(bytes - size_);
+  }
+
   /// Overwrite 4 bytes at `offset` (fixup patching). Valid before
   /// protect() only.
   void patch32(std::size_t offset, std::uint32_t v);

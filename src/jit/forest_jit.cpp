@@ -1,6 +1,7 @@
 #include "jit/jit.h"
 
 #include <atomic>
+#include <bit>
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
@@ -9,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "core/flat_forest.h"
 #include "jit/x64_emitter.h"
 
@@ -80,11 +82,13 @@ struct TreeCompiler {
   X64Emitter& e;
   std::span<const Node> nodes;
   std::span<const double> leaf_entropy;
-  /// Pool slots interned once per forest (not per shape): node_slot[i] is
-  /// nodes[i].threshold — the split threshold for internal nodes, the
-  /// leaf posterior for leaves; ent_slot[i] is leaf_entropy[i]; one_slot
-  /// is the 1.0 malware-vote increment. Hash-interning each constant four
-  /// times (once per shape) dominated compile time on large forests.
+  /// Pool slots interned once per compile (not per shape): node_slot[i]
+  /// is nodes[i].threshold — the split threshold for internal nodes, the
+  /// leaf posterior for leaves (interned only when a posterior shape is
+  /// compiled); ent_slot[i] is leaf i's entropy (only when an entropy
+  /// shape is compiled); one_slot is the 1.0 malware-vote increment.
+  /// Hash-interning each constant once per shape dominated compile time
+  /// on large forests.
   std::span<const std::size_t> node_slot;
   std::span<const std::size_t> ent_slot;
   std::size_t one_slot;
@@ -96,7 +100,24 @@ struct TreeCompiler {
   /// shallow-validation trust model) fails compilation instead of
   /// recursing forever.
   std::size_t budget;
+  /// The owner's cancel flag (may be null), polled once per tree.
+  const std::atomic<bool>* cancel;
   bool ok = true;
+
+  /// Stop before the next tree? True once the owner cancelled the
+  /// compile, or when an armed `jit.compile` failpoint fires (a delay
+  /// action stalls each tree instead — the seam the tier-up tests use to
+  /// hold a compile open).
+  bool should_stop() const {
+    if (cancel != nullptr && cancel->load(std::memory_order_acquire))
+      return true;
+    try {
+      HMD_FAILPOINT("jit.compile", "jit");
+    } catch (const LoadError&) {
+      return true;
+    }
+    return false;
+  }
 
   /// acc[r9] += constant. Operand order matches the interpreter's
   /// `acc += c` (acc + c). A zero constant is skipped entirely: every
@@ -240,6 +261,10 @@ struct TreeCompiler {
 
   /// One tree: a row loop over the live tile, body chosen by shape.
   void emit_tree(std::int32_t root_index) {
+    if (should_stop()) {
+      ok = false;
+      return;
+    }
     const Node& root = nodes[static_cast<std::size_t>(root_index)];
     if (root.feature < 0 && root.threshold == 0.0 &&
         leaf_entropy[static_cast<std::size_t>(root_index)] == 0.0) {
@@ -276,10 +301,14 @@ struct TreeCompiler {
 
 }  // namespace
 
-std::unique_ptr<ForestProgram> compile_forest(const FlatForestEngine& forest) {
+std::unique_ptr<ForestProgram> compile_forest(const FlatForestEngine& forest,
+                                              unsigned shapes,
+                                              const std::atomic<bool>* cancel) {
+  shapes &= kAllShapes;
   const auto nodes = forest.nodes_view();
   const auto roots = forest.roots_view();
-  if (nodes.empty() || roots.empty() || nodes.size() > kMaxJitNodes)
+  if (shapes == 0 || nodes.empty() || roots.empty() ||
+      nodes.size() > kMaxJitNodes)
     return nullptr;
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -288,21 +317,36 @@ std::unique_ptr<ForestProgram> compile_forest(const FlatForestEngine& forest) {
   // Upper bounds across all four shapes: <=2 jumps per node (leaf jmp or
   // branch jb), <=8 const references per node (threshold + three blended
   // payloads x2), pool <= one distinct slot per node value plus 0/1.
-  emitter.reserve(/*jumps=*/nodes.size() * 8, /*consts=*/nodes.size() * 8,
+  const auto n_shapes = static_cast<std::size_t>(std::popcount(shapes));
+  emitter.reserve(/*jumps=*/nodes.size() * 2 * n_shapes,
+                  /*consts=*/nodes.size() * 2 * n_shapes,
                   /*pool=*/nodes.size() + 2);
-  // Intern every constant once up front; the four shape passes then reuse
-  // the slot ids without touching the dedup hash again.
+  // Deep forests emit ~26-34 bytes of code per node and shape (245k-node
+  // HPC forest: 6.1-8.0 MiB per shape); map that once instead of growing
+  // by doubling copies.
+  program->code_.reserve(nodes.size() * 40 * n_shapes);
+  // Intern every constant the requested shapes read once up front; the
+  // shape passes then reuse the slot ids without touching the dedup hash
+  // again. Split thresholds are always read; a leaf's posterior only by
+  // posterior shapes and its entropy only by entropy shapes (votes come
+  // from the 0/1 slots).
   const auto leaf_entropy = forest.leaf_entropy_view();
+  const bool any_posterior = (shapes & (shape_bit(1) | shape_bit(3))) != 0;
+  const bool any_entropy = (shapes & (shape_bit(2) | shape_bit(3))) != 0;
   const std::size_t one_slot = emitter.pool_const(1.0);
   const std::size_t zero_slot = emitter.pool_const(0.0);
   std::vector<std::size_t> node_slot(nodes.size());
-  std::vector<std::size_t> ent_slot(nodes.size());
+  std::vector<std::size_t> ent_slot(any_entropy ? nodes.size() : 0);
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    node_slot[i] = emitter.pool_const(nodes[i].threshold);
-    ent_slot[i] = emitter.pool_const(leaf_entropy[i]);
+    const bool leaf = nodes[i].feature < 0;
+    if (!leaf || any_posterior) {
+      node_slot[i] = emitter.pool_const(nodes[i].threshold);
+    }
+    if (leaf && any_entropy) ent_slot[i] = emitter.pool_const(leaf_entropy[i]);
   }
   std::size_t entries[4] = {};
   for (unsigned shape = 0; shape < 4; ++shape) {
+    if ((shapes & shape_bit(shape)) == 0) continue;
     entries[shape] = emitter.offset();
     TreeCompiler compiler{emitter,
                           nodes,
@@ -313,16 +357,20 @@ std::unique_ptr<ForestProgram> compile_forest(const FlatForestEngine& forest) {
                           zero_slot,
                           /*posterior=*/(shape & 1) != 0,
                           /*entropy=*/(shape & 2) != 0,
-                          /*budget=*/nodes.size() + 1};
+                          /*budget=*/nodes.size() + 1,
+                          cancel};
     for (const std::int32_t root : roots) {
       compiler.emit_tree(root);
       if (!compiler.ok) return nullptr;
     }
     emitter.ret();
   }
+  if (cancel != nullptr && cancel->load(std::memory_order_acquire))
+    return nullptr;
   if (!emitter.finish()) return nullptr;
   if (!program->code_.protect()) return nullptr;
   for (unsigned shape = 0; shape < 4; ++shape) {
+    if ((shapes & shape_bit(shape)) == 0) continue;
     program->kernels_[shape] = reinterpret_cast<ForestProgram::KernelFn>(
         const_cast<void*>(program->code_.entry(entries[shape])));
   }
@@ -335,7 +383,9 @@ std::unique_ptr<ForestProgram> compile_forest(const FlatForestEngine& forest) {
 
 #else  // !HMD_JIT_SUPPORTED
 
-std::unique_ptr<ForestProgram> compile_forest(const core::FlatForestEngine&) {
+std::unique_ptr<ForestProgram> compile_forest(const core::FlatForestEngine&,
+                                              unsigned,
+                                              const std::atomic<bool>*) {
   return nullptr;
 }
 

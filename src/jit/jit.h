@@ -35,10 +35,10 @@
 //                 compile_forest() returns nullptr).
 //   run-time      a three-state Policy (HMD_JIT env var / the serving
 //                 tools' --jit flag / set_policy()): kOff never
-//                 compiles, kOn always does, and the default kAuto
-//                 compiles only forests the generator predicts it can
-//                 beat the interpreter on — traversal-dominated (deep)
-//                 forests. Stump-dominated ensembles stay interpreted:
+//                 compiles, kOn compiles every forest at load, and the
+//                 default kAuto tiers up (below) only forests the
+//                 generator predicts it can beat the interpreter on —
+//                 traversal-dominated (deep) forests. Stump-dominated ensembles stay interpreted:
 //                 the compiler auto-vectorises the interpreter's stump
 //                 loop across rows (4-wide under AVX), which scalar
 //                 straight-line code cannot outrun, so compiling those
@@ -48,14 +48,26 @@
 //                 fall back to the interpreted arena with zero behavior
 //                 change.
 //
-// Thread-safety: the enable flag is atomic; ForestProgram is immutable
+// Tiering (the engine side lives in core/flat_forest.h): a load never
+// compiles under kAuto. The engine serves on the interpreted arena rows
+// and counts scored rows per StatsMask shape; once an eligible shape has
+// scored FlatForestEngine::kJitPromoteRows rows, that one shape is
+// compiled on the process-wide compile worker (submit_compile) and
+// installed into the engine's dispatch table while it keeps serving.
+// kOn keeps the eager all-shape compile at construction (the forcing
+// mode of the parity suites and bench_latency); kOff never compiles.
+//
+// Thread-safety: the policy flag is atomic; ForestProgram is immutable
 // after compile_forest() returns, so concurrent kernel calls need no
-// synchronisation. Compilation itself runs wherever the engine is
-// constructed — on the registry path that is inside the per-entry load
-// mutex, off the registry-wide lock, so a slow compile of one key never
-// blocks another key's get().
+// synchronisation. compile_forest() is re-entrant; the worker runs one
+// compile at a time, so background tier-ups never compete with each
+// other for more than one core. A compile polls its cancel flag once per
+// tree, so the owner of a cancelled compile waits at most one tree's
+// emission.
 
+#include <atomic>
 #include <cstddef>
+#include <functional>
 #include <memory>
 
 #include "jit/code_buffer.h"
@@ -78,28 +90,36 @@ bool available();
 
 /// When to compile a loaded forest to native code.
 enum class Policy {
-  kAuto,  ///< compile when predicted profitable (deep forests) — default
-  kOn,    ///< compile every eligible forest (bench/parity forcing)
+  kAuto,  ///< tier up deep forests once traffic pays for it — default
+  kOn,    ///< compile every forest at load, all shapes (bench/parity forcing)
   kOff,   ///< never compile; interpreted arena everywhere
 };
 
 /// The process-wide policy. Defaults from the HMD_JIT environment
 /// variable (on / off / auto; unset = auto) and is overridden by the
 /// serving tools' --jit flag via set_policy(). Affects engines loaded
-/// after the call, never ones already constructed. Atomic — safe to
-/// read from concurrent loads.
+/// after the call, never ones already constructed: an engine decides at
+/// construction whether it compiles eagerly (kOn), may tier up (kAuto
+/// and eligible) or stays interpreted. Atomic — safe to read from
+/// concurrent loads.
 Policy policy();
 void set_policy(Policy p);
 
-/// Should this forest be compiled under the current policy? False
-/// whenever !available(). Under kAuto this is the profitability
-/// heuristic: compile only when per-row work is dominated by deep-tree
-/// traversal (the interpreter already vectorises stump-table forests
-/// better than scalar native code can).
+/// Is this forest JIT-eligible under the current policy? False whenever
+/// !available(). Under kAuto this is the profitability heuristic that
+/// arms tier-up: only forests whose per-row work is dominated by
+/// deep-tree traversal (the interpreter already vectorises stump-table
+/// forests better than scalar native code can).
 bool should_compile(const core::FlatForestEngine& forest);
 
-/// Native batch kernels for one forest. Index a kernel by StatsMask
-/// shape: (posterior ? 1 : 0) | (entropy ? 2 : 0).
+/// Shape-mask bit of StatsMask shape s: (posterior ? 1 : 0) |
+/// (entropy ? 2 : 0). kAllShapes asks for all four kernels.
+constexpr unsigned shape_bit(unsigned shape) { return 1u << (shape & 3); }
+inline constexpr unsigned kAllShapes = 0xF;
+
+/// Native batch kernels for one forest, for the shapes it was compiled
+/// for. Index a kernel by StatsMask shape; a shape left out of the
+/// compile's shape mask has no kernel (nullptr).
 class ForestProgram {
  public:
   /// xt is the tile transposed at the fixed kTileRows stride; votes /
@@ -115,18 +135,29 @@ class ForestProgram {
 
  private:
   friend std::unique_ptr<ForestProgram> compile_forest(
-      const core::FlatForestEngine& forest);
+      const core::FlatForestEngine& forest, unsigned shapes,
+      const std::atomic<bool>* cancel);
 
   CodeBuffer code_;
   KernelFn kernels_[4] = {nullptr, nullptr, nullptr, nullptr};
   double compile_ms_ = 0.0;
 };
 
-/// Compile `forest`'s arena into native kernels. Returns nullptr when
-/// the JIT is unavailable, the forest exceeds the generator's limits, or
-/// emission fails for any reason — the caller keeps the interpreted
-/// kernels. Does NOT consult enabled(): policy belongs to the caller.
+/// Compile `forest`'s arena into native kernels for the shapes set in
+/// `shapes` (shape_bit() bits; default all four). Returns nullptr when
+/// the JIT is unavailable, the forest exceeds the generator's limits,
+/// `*cancel` turns true (checked once per tree), the `jit.compile`
+/// failpoint fires (also once per tree), or emission fails for any
+/// reason — the caller keeps the interpreted kernels. Throws nothing but
+/// std::bad_alloc. Does NOT consult policy(): policy belongs to the
+/// caller.
 std::unique_ptr<ForestProgram> compile_forest(
-    const core::FlatForestEngine& forest);
+    const core::FlatForestEngine& forest, unsigned shapes = kAllShapes,
+    const std::atomic<bool>* cancel = nullptr);
+
+/// Queue `job` on the process-wide compile worker: one thread, started
+/// by the first submit, running jobs one at a time in FIFO order. The
+/// job must not throw. Jobs still queued at process exit are dropped.
+void submit_compile(std::function<void()> job);
 
 }  // namespace hmd::jit

@@ -27,7 +27,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <unordered_map>
 #include <vector>
 
 #include "jit/code_buffer.h"
@@ -62,9 +61,11 @@ class X64Emitter {
   /// forests record hundreds of thousands of fixups, and doubling-growth
   /// copies are a measurable slice of compile time.
   void reserve(std::size_t jumps, std::size_t consts, std::size_t pool) {
+    labels_.reserve(jumps);
     jumps_.reserve(jumps);
     consts_.reserve(consts);
     pool_.reserve(pool);
+    if (2 * pool > pool_index_.size()) rehash_pool_index(2 * pool);
   }
 
   Label make_label() {
@@ -80,11 +81,19 @@ class X64Emitter {
   std::size_t pool_const(double v) {
     std::uint64_t bits = 0;
     std::memcpy(&bits, &v, 8);
-    const auto it = pool_index_.find(bits);
-    if (it != pool_index_.end()) return it->second;
-    pool_.push_back(bits);
-    pool_index_.emplace(bits, pool_.size() - 1);
-    return pool_.size() - 1;
+    if (2 * (pool_.size() + 1) > pool_index_.size()) {
+      rehash_pool_index(2 * (pool_.size() + 1));
+    }
+    const std::size_t mask = pool_index_.size() - 1;
+    for (std::size_t i = pool_hash(bits);; i = (i + 1) & mask) {
+      const std::size_t entry = pool_index_[i];
+      if (entry == 0) {
+        pool_.push_back(bits);
+        pool_index_[i] = pool_.size();
+        return pool_.size() - 1;
+      }
+      if (pool_[entry - 1] == bits) return entry - 1;
+    }
   }
 
   // --- SSE2 scalar double ------------------------------------------------
@@ -266,6 +275,33 @@ class X64Emitter {
     jumps_.push_back({patch_at, code_.size(), target});
   }
 
+  /// Home bucket of a constant: Fibonacci hashing keeps the high product
+  /// bits, which every bit of the pattern reaches (the low mantissa bits
+  /// of typical doubles are zero).
+  std::size_t pool_hash(std::uint64_t bits) const {
+    return static_cast<std::size_t>((bits * 0x9E3779B97F4A7C15ull) >>
+                                    pool_index_shift_);
+  }
+
+  /// Resize the pool index to the power of two >= `want` (at least 16)
+  /// and re-insert every interned constant.
+  void rehash_pool_index(std::size_t want) {
+    std::size_t buckets = 16;
+    int log2 = 4;
+    while (buckets < want) {
+      buckets *= 2;
+      ++log2;
+    }
+    pool_index_.assign(buckets, 0);
+    pool_index_shift_ = 64 - log2;
+    const std::size_t mask = buckets - 1;
+    for (std::size_t slot = 0; slot < pool_.size(); ++slot) {
+      std::size_t i = pool_hash(pool_[slot]);
+      while (pool_index_[i] != 0) i = (i + 1) & mask;
+      pool_index_[i] = slot + 1;
+    }
+  }
+
   void record_const_fixup(std::size_t slot, std::size_t tail_bytes) {
     const std::size_t patch_at = code_.size();
     code_.put32(0);
@@ -277,7 +313,11 @@ class X64Emitter {
   std::vector<JumpFixup> jumps_;
   std::vector<ConstFixup> consts_;
   std::vector<std::uint64_t> pool_;
-  std::unordered_map<std::uint64_t, std::size_t> pool_index_;
+  /// Open-addressing (linear probing) index over pool_, kept at most half
+  /// full: bucket value slot + 1, 0 for empty — every 64-bit pattern is
+  /// a valid constant, so the key itself cannot mark a free bucket.
+  std::vector<std::size_t> pool_index_;
+  int pool_index_shift_ = 64;
 };
 
 }  // namespace hmd::jit

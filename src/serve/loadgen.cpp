@@ -17,6 +17,7 @@
 #include <memory>
 
 #include "common/error.h"
+#include "common/failpoint.h"
 #include "serve/wire.h"
 
 namespace hmd::serve {
@@ -26,6 +27,9 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 struct Outstanding {
+  /// Latency counts from here: the send in closed loop, the due time in
+  /// open loop (so a generator that falls behind its schedule reports the
+  /// queueing delay it caused instead of hiding it).
   Clock::time_point sent_at;
   std::size_t row_start = 0;
   std::uint32_t rows = 0;
@@ -241,8 +245,8 @@ LoadGenReport run_load(const LoadGenOptions& options) {
     wire::append_request(c.out, id, options.model_key, options.outputs,
                          options.mode, source.row_ptr(row_start), req_rows,
                          cols, options.accuracy);
-    c.outstanding[id] =
-        Outstanding{now, row_start, static_cast<std::uint32_t>(req_rows)};
+    c.outstanding[id] = Outstanding{open_loop ? c.next_due : now, row_start,
+                                    static_cast<std::uint32_t>(req_rows)};
     ++c.sent;
     ++report.requests_sent;
     if (open_loop) c.next_due += send_interval;
@@ -316,6 +320,8 @@ LoadGenReport run_load(const LoadGenOptions& options) {
   std::vector<pollfd> fds(conns.size());
   auto last_progress = Clock::now();
   while (!all_done()) {
+    // Test seam: a delay here stalls the generator between sends.
+    HMD_FAILPOINT("loadgen.send", "loadgen");
     const auto now = Clock::now();
     // Top up sends.
     for (ClientConn& c : conns) {

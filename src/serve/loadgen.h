@@ -38,7 +38,8 @@ struct LoadGenOptions {
   /// Closed loop: outstanding requests per connection.
   int pipeline = 1;
   /// Open loop: total target request rate across all connections; 0
-  /// selects closed-loop mode.
+  /// selects closed-loop mode. Open-loop latency counts from each
+  /// request's due time, closed-loop latency from its send.
   double open_loop_rps = 0.0;
   std::uint64_t total_requests = 1000;
 

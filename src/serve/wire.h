@@ -99,9 +99,15 @@
 // response is bit-identical to a direct score() on the request's rows no
 // matter how it was batched. Requests for the same model but different
 // uncertainty *modes* are never merged (kOutScore / kOutTrusted depend
-// on the mode); masks within a queue are merged by union. Responses to
-// one connection always come back in request order; ordering across
-// connections is unspecified.
+// on the mode); masks within a queue are merged by union.
+//
+// Response order: the batcher answers each (model, mode, tier) queue when
+// that queue flushes, so responses to one connection come back in request
+// order only among requests that share a queue. A response from one queue
+// may overtake an earlier request of the same connection that waits in
+// another queue (another model, mode or accuracy tier), and ordering
+// across connections is unspecified. Clients match responses to requests
+// by the echoed request id — serve::run_load does — never by position.
 
 #include <cstdint>
 #include <optional>

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -24,6 +25,7 @@
 #include "core/model_artifact.h"
 #include "fleet/cuckoo_filter.h"
 #include "fleet/sharded_map.h"
+#include "jit/jit.h"
 #include "test_support.h"
 
 namespace hmd {
@@ -521,6 +523,97 @@ TEST_F(FleetRegistryTest, LeasePinnedSnapshotSurvivesEviction) {
   // The lease keeps serving bit-stable outputs throughout.
   const auto& x = test::small_dvfs().test.X;
   EXPECT_EQ(pinned->detect_batch(x).size(), x.rows());
+}
+
+TEST_F(FleetRegistryTest, ResidencyBudgetCountsTieredUpJitCode) {
+  // A deep HPC forest tiers up under kAuto after kJitPromoteRows rows of
+  // one shape. The budget fits its arena (plus a small forest) but not
+  // arena + code: once the code is installed and re-admitted on a get()
+  // hit, the compiled forest is the one the next sweep evicts.
+  const jit::Policy saved_policy = jit::policy();
+  jit::set_policy(jit::Policy::kAuto);
+  struct Restore {
+    jit::Policy policy;
+    ~Restore() { jit::set_policy(policy); }
+  } restore{saved_policy};
+  {
+    core::HmdConfig config;
+    config.model = ModelKind::kRandomForest;
+    config.n_members = 30;
+    config.n_threads = 1;
+    config.seed = 42;
+    core::TrustedHmd deep(config);
+    deep.fit(test::small_hpc().train);
+    core::save_model(deep, (dir_ / "deep.hmdf").string());
+  }
+  save_artifact("small", ModelKind::kRandomForest, 3);
+  if (!jit::available()) return;  // no code to count
+
+  api::DetectorRegistry unbounded(1);
+  ASSERT_EQ(unbounded.add_directory(dir_.string()), 2u);
+  const std::size_t arena = footprint(unbounded, "deep");
+  const std::size_t small = footprint(unbounded, "small");
+  const auto probe =
+      jit::compile_forest(unbounded.get("deep")->flat_forest(),
+                          jit::shape_bit(3));
+  ASSERT_NE(probe, nullptr);
+  const std::size_t code = probe->code_bytes();
+  ASSERT_LT(small, code / 2);
+
+  fleet::FleetOptions options;
+  options.residency_budget_bytes = arena + code / 2;
+  api::DetectorRegistry registry(1, core::LoadMode::kAuto, options);
+  ASSERT_EQ(registry.add_directory(dir_.string()), 2u);
+  const Matrix& x = test::small_hpc().test.X;
+  {
+    const auto deep = registry.get("deep");
+    EXPECT_EQ(deep->engine().kernel_backend(), "arena");
+    Matrix traffic(core::FlatForestEngine::kJitPromoteRows, x.cols());
+    for (std::size_t r = 0; r < traffic.rows(); ++r) {
+      for (std::size_t c = 0; c < x.cols(); ++c) {
+        traffic(r, c) = x(r % x.rows(), c);
+      }
+    }
+    std::vector<core::EnsembleStats> stats;
+    deep->engine().stats_batch(traffic, nullptr, stats, core::kStatsAll);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (deep->engine().kernel_backend() != "jit" &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(deep->engine().kernel_backend(), "jit");
+    EXPECT_EQ(deep->engine().jit_code_bytes(), code);
+    // Installed in the background: the ledger still holds the arena.
+    EXPECT_EQ(registry.fleet_stats().residency.resident_bytes, arena);
+  }
+  {
+    // The next hit re-admits arena + code; its own lease pins it through
+    // that sweep, so it stays (over budget) while held.
+    const auto deep = registry.get("deep");
+    EXPECT_EQ(registry.fleet_stats().residency.resident_bytes, arena + code);
+    EXPECT_TRUE(registry.health("deep").loaded);
+  }
+  // Loading the small forest sweeps: the unleased compiled forest is the
+  // coldest entry and goes, code and all.
+  (void)registry.get("small");
+  EXPECT_FALSE(registry.health("deep").loaded);
+  EXPECT_EQ(registry.health("deep").evictions, 1u);
+  const fleet::ResidencyStats stats = registry.fleet_stats().residency;
+  EXPECT_EQ(stats.resident_bytes, small);
+  EXPECT_LE(stats.resident_bytes, options.residency_budget_bytes);
+
+  // It reloads onto the arena, with no code and bit-identical answers.
+  const auto reloaded = registry.get("deep");
+  EXPECT_EQ(reloaded->engine().kernel_backend(), "arena");
+  EXPECT_EQ(reloaded->engine().jit_code_bytes(), 0u);
+  const auto want = unbounded.get("deep")->estimate_batch(x);
+  const auto got = reloaded->estimate_batch(x);
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t r = 0; r < want.size(); ++r) {
+    ASSERT_EQ(want[r].votes_malware, got[r].votes_malware);
+    ASSERT_EQ(want[r].score, got[r].score);
+  }
 }
 
 TEST_F(FleetRegistryTest, QuarantinedEntryIsEvictableAndKeepsCachedError) {

@@ -2,8 +2,12 @@
 // (src/jit/): the executable CodeBuffer's W^X life cycle, the x86-64
 // emitter's label/constant-pool fixups (asserted by executing a
 // hand-emitted kernel), the three-state compile policy and its
-// profitability heuristic, fallback-to-arena behaviour, and — for the
-// TSan job — concurrent first-get() compiles through the registry.
+// profitability heuristic, fallback-to-arena behaviour, tiering (arena at
+// load, a background single-shape compile once a shape has scored
+// FlatForestEngine::kJitPromoteRows rows, bit-identical results across
+// the install, cancel on destruction, failpoint-declined compiles) and —
+// for the TSan job — concurrent first-get() compiles through the
+// registry and scoring threads racing a background install.
 //
 // Everything here is a no-op-but-green on targets where the JIT is
 // compiled out (-DHMD_NO_JIT / non-x86-64): the availability-dependent
@@ -11,13 +15,20 @@
 // (fallback, policy bookkeeping, concurrency) hold either way.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <chrono>
+#include <cstring>
 #include <filesystem>
+#include <future>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/detector_registry.h"
+#include "common/failpoint.h"
 #include "core/flat_forest.h"
 #include "core/hmd.h"
 #include "core/model_artifact.h"
@@ -51,6 +62,92 @@ core::HmdConfig rf_config(int members) {
   config.seed = 42;
   return config;
 }
+
+/// `rows` rows cycled from `src`: one batch that carries a shape's row
+/// count wherever a test needs it.
+Matrix tiled_rows(const Matrix& src, std::size_t rows) {
+  Matrix out(rows, src.cols());
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::memcpy(out.row_ptr(r), src.row_ptr(r % src.rows()),
+                src.cols() * sizeof(double));
+  }
+  return out;
+}
+
+/// Score `rows` rows (cycled from `src`, default the HPC test split)
+/// under `mask` through the engine's batch entry point.
+void score_rows(const core::TrustedHmd& hmd, std::size_t rows,
+                core::StatsMask mask,
+                const Matrix& src = test::small_hpc().test.X) {
+  std::vector<core::EnsembleStats> stats;
+  hmd.engine().stats_batch(tiled_rows(src, rows), nullptr, stats, mask);
+}
+
+/// Wait until every compile queued before this call has finished: the
+/// worker runs jobs one at a time in FIFO order. Bounded at 60 s.
+bool drain_compile_worker() {
+  auto done = std::make_shared<std::promise<void>>();
+  std::future<void> finished = done->get_future();
+  jit::submit_compile([done] { done->set_value(); });
+  return finished.wait_for(std::chrono::seconds(60)) ==
+         std::future_status::ready;
+}
+
+/// Disarms every failpoint at scope exit, so a failed assertion cannot
+/// leak an armed site into the next test of the same process.
+struct FailpointGuard {
+  ~FailpointGuard() { fail::disarm_all(); }
+};
+
+/// A deep (JIT-eligible under kAuto) HPC forest saved to a per-test
+/// directory, removed again at scope exit.
+struct DeepArtifact {
+  explicit DeepArtifact(int members) {
+    // The pid keeps the discovered entry and the JitSuite.All aggregate
+    // apart when ctest runs both at once.
+    dir = "jit_tier_tmp_";
+    dir += ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir += "_";
+    dir += std::to_string(::getpid());
+    std::filesystem::create_directories(dir);
+    path = (dir / "deep.hmdf").string();
+    core::TrustedHmd trained(rf_config(members));
+    trained.fit(test::small_hpc().train);
+    core::save_model(trained, path);
+  }
+  ~DeepArtifact() { std::filesystem::remove_all(dir); }
+
+  /// Load under `policy`, restoring the previous policy afterwards.
+  core::TrustedHmd load(jit::Policy policy, int threads = 1) const {
+    const PolicyGuard guard;
+    jit::set_policy(policy);
+    return core::load_model(path, threads);
+  }
+
+  std::filesystem::path dir;
+  std::string path;
+};
+
+/// Bitwise equality of the estimate columns two detectors produce.
+bool same_estimates(const std::vector<core::Estimate>& a,
+                    const std::vector<core::Estimate>& b) {
+  if (a.size() != b.size()) return false;
+  const auto same = [](double u, double v) {
+    return std::memcmp(&u, &v, sizeof(double)) == 0;
+  };
+  for (std::size_t r = 0; r < a.size(); ++r) {
+    if (a[r].votes_malware != b[r].votes_malware ||
+        !same(a[r].soft_entropy, b[r].soft_entropy) ||
+        !same(a[r].expected_entropy, b[r].expected_entropy) ||
+        !same(a[r].mutual_information, b[r].mutual_information) ||
+        !same(a[r].score, b[r].score)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+constexpr std::size_t kPromote = core::FlatForestEngine::kJitPromoteRows;
 
 #if HMD_JIT_SUPPORTED
 
@@ -170,6 +267,15 @@ TEST(JitPolicy, AutoDeclinesStumpForestsAndTakesDeepOnes) {
   core::TrustedHmd deep(rf_config(100));
   deep.fit(test::small_hpc().train);  // overlapping classes: deep trees
   EXPECT_FALSE(jit::should_compile(stumpy.flat_forest()));
+  // Arena at load for both; after kJitPromoteRows rows of one shape the
+  // deep forest tiers up to jit and the stump forest stays interpreted.
+  EXPECT_NE(stumpy.engine().kernel_backend(), "jit");
+  EXPECT_NE(deep.engine().kernel_backend(), "jit");
+  EXPECT_EQ(deep.flat_forest().jit_code_bytes(), 0u);
+  score_rows(stumpy, kPromote, core::kStatsAll, test::small_dvfs().test.X);
+  score_rows(deep, kPromote, core::kStatsAll);
+  ASSERT_TRUE(drain_compile_worker());
+  EXPECT_NE(stumpy.engine().kernel_backend(), "jit");
   if (jit::available()) {
     EXPECT_TRUE(jit::should_compile(deep.flat_forest()));
     EXPECT_EQ(deep.engine().kernel_backend(), "jit");
@@ -208,6 +314,159 @@ TEST(JitFallback, CompileForestHonoursAvailability) {
   } else {
     EXPECT_EQ(program, nullptr);
   }
+}
+
+TEST(JitTierUp, AutoLoadsDeepForestOnArenaWithNoCode) {
+  const DeepArtifact artifact(30);
+  const core::TrustedHmd hmd = artifact.load(jit::Policy::kAuto);
+  EXPECT_EQ(jit::should_compile(hmd.flat_forest()), jit::available());
+  EXPECT_EQ(hmd.engine().kernel_backend(), "arena");
+  EXPECT_EQ(hmd.flat_forest().jit_code_bytes(), 0u);
+  EXPECT_EQ(hmd.flat_forest().jit_compile_ms(), 0.0);
+}
+
+TEST(JitTierUp, BelowThresholdStaysOnArena) {
+  const DeepArtifact artifact(30);
+  const core::TrustedHmd hmd = artifact.load(jit::Policy::kAuto);
+  // Just under the threshold in two shapes: the counters are per shape,
+  // so neither crosses.
+  score_rows(hmd, kPromote - 1, core::kStatsAll);
+  score_rows(hmd, 256, core::kStatsVotes);
+  score_rows(hmd, kPromote - 257, core::kStatsVotes);
+  ASSERT_TRUE(drain_compile_worker());
+  EXPECT_EQ(hmd.engine().kernel_backend(), "arena");
+  EXPECT_EQ(hmd.flat_forest().jit_code_bytes(), 0u);
+}
+
+TEST(JitTierUp, PastThresholdCompilesOnlyThatShape) {
+  const DeepArtifact artifact(30);
+  const core::TrustedHmd hmd = artifact.load(jit::Policy::kAuto);
+  score_rows(hmd, kPromote - 1, core::kStatsAll);
+  score_rows(hmd, 1, core::kStatsAll);  // the row that crosses
+  ASSERT_TRUE(drain_compile_worker());
+  if (!jit::available()) {
+    EXPECT_EQ(hmd.engine().kernel_backend(), "arena");
+    return;
+  }
+  EXPECT_EQ(hmd.engine().kernel_backend(), "jit");
+  EXPECT_GT(hmd.flat_forest().jit_compile_ms(), 0.0);
+  // Exactly the posterior + entropy shape's code: emission is
+  // deterministic, so a fresh compile of that one shape has its size,
+  // and it is well under an all-shape compile.
+  const auto one = jit::compile_forest(hmd.flat_forest(), jit::shape_bit(3));
+  const auto all = jit::compile_forest(hmd.flat_forest());
+  ASSERT_NE(one, nullptr);
+  ASSERT_NE(all, nullptr);
+  EXPECT_EQ(hmd.flat_forest().jit_code_bytes(), one->code_bytes());
+  EXPECT_LT(one->code_bytes(), all->code_bytes());
+  // Another shape below its own threshold compiles nothing more.
+  score_rows(hmd, kPromote - 1, core::kStatsVotes);
+  ASSERT_TRUE(drain_compile_worker());
+  EXPECT_EQ(hmd.flat_forest().jit_code_bytes(), one->code_bytes());
+}
+
+TEST(JitTierUp, ResultsBitIdenticalAcrossInstallUnderConcurrentScoring) {
+  // Scoring threads keep going while the background compile installs
+  // the native row under them: every batch — before, during and after
+  // the install — must match the arena reference bit for bit. On the
+  // TSan job this is the race check of the release/acquire install.
+  const DeepArtifact artifact(30);
+  const Matrix& x = test::small_hpc().test.X;
+  const auto expected =
+      artifact.load(jit::Policy::kOff).estimate_batch(x);
+  const core::TrustedHmd hmd = artifact.load(jit::Policy::kAuto, 2);
+  constexpr int kThreads = 4;
+  // Enough batches for the threads to carry the shape past the
+  // threshold several times over, then keep scoring after the install.
+  const std::size_t batches_to_cross =
+      kPromote / (x.rows() * kThreads) + 1;
+  std::atomic<bool> installed{false};
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<int> after_install(kThreads, 0);
+  {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(60);
+        for (std::size_t i = 0;; ++i) {
+          if (!same_estimates(hmd.estimate_batch(x), expected)) {
+            ++mismatches[t];
+          }
+          if (installed.load()) ++after_install[t];
+          if (!installed.load() &&
+              hmd.engine().kernel_backend() == "jit") {
+            installed.store(true);
+          }
+          const bool done = jit::available()
+                                ? after_install[t] >= 5
+                                : i >= 2 * batches_to_cross;
+          if (done || std::chrono::steady_clock::now() > deadline) break;
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0);
+  EXPECT_EQ(installed.load(), jit::available());
+}
+
+TEST(JitTierUp, EngineDestroyedMidCompileIsClean) {
+  if (!jit::available()) return;  // nothing compiles, nothing to cancel
+  // Every tree's emission stalls 20 ms, so the 100-tree compile would
+  // take 2 s; destroying the engine mid-compile must cancel it at the
+  // next tree instead of waiting, and free everything (ASan job).
+  const FailpointGuard failpoints;
+  const DeepArtifact artifact(100);
+  std::optional<core::TrustedHmd> hmd = artifact.load(jit::Policy::kAuto);
+  fail::Spec stall;
+  stall.action = fail::Spec::Action::kDelay;
+  stall.delay_ms = 20;
+  fail::arm("jit.compile", stall);
+  score_rows(*hmd, kPromote, core::kStatsAll);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (fail::hit_count("jit.compile") < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(fail::hit_count("jit.compile"), 2) << "compile never started";
+  const auto t0 = std::chrono::steady_clock::now();
+  hmd.reset();
+  const double destroy_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+  const int hits_at_destroy = fail::hit_count("jit.compile");
+  ASSERT_TRUE(drain_compile_worker());
+  EXPECT_LT(destroy_ms, 1000.0);
+  EXPECT_LT(hits_at_destroy, 100);
+  EXPECT_LE(fail::hit_count("jit.compile"), hits_at_destroy + 1);
+}
+
+TEST(JitTierUp, CompileFailpointLeavesArenaServing) {
+  const FailpointGuard failpoints;
+  const DeepArtifact artifact(30);
+  const Matrix& x = test::small_hpc().test.X;
+  const auto expected =
+      artifact.load(jit::Policy::kOff).estimate_batch(x);
+  const core::TrustedHmd hmd = artifact.load(jit::Policy::kAuto);
+  fail::Spec broken;
+  broken.action = fail::Spec::Action::kError;
+  broken.code = LoadErrorCode::kIo;
+  fail::arm("jit.compile", broken);
+  score_rows(hmd, kPromote, core::kStatsAll);
+  ASSERT_TRUE(drain_compile_worker());
+  const int hits = fail::hit_count("jit.compile");
+  EXPECT_EQ(hits, jit::available() ? 1 : 0);
+  EXPECT_EQ(hmd.engine().kernel_backend(), "arena");
+  EXPECT_EQ(hmd.flat_forest().jit_code_bytes(), 0u);
+  EXPECT_TRUE(same_estimates(hmd.estimate_batch(x), expected));
+  // A declined shape is never retried, even with the fault gone.
+  fail::disarm_all();
+  score_rows(hmd, kPromote, core::kStatsAll);
+  ASSERT_TRUE(drain_compile_worker());
+  EXPECT_EQ(hmd.engine().kernel_backend(), "arena");
+  EXPECT_EQ(fail::hit_count("jit.compile"), hits);
 }
 
 TEST(JitConcurrency, ConcurrentFirstGetCompilesRaceClean) {

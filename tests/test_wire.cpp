@@ -12,14 +12,17 @@
 
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/detector_registry.h"
 #include "api/score.h"
+#include "common/failpoint.h"
 #include "core/hmd.h"
 #include "core/model_artifact.h"
+#include "serve/loadgen.h"
 #include "serve/server.h"
 #include "serve/wire.h"
 #include "test_support.h"
@@ -343,7 +346,12 @@ TEST(WireTest, LoadErrorTaxonomyMapsIntoWireCodes) {
 class WireSocketTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::path("wire_tmp");
+    // Per test and per process: ctest runs the cases in parallel, and
+    // one case's TearDown must not remove another's artifact.
+    dir_ = std::filesystem::path("wire_tmp_");
+    dir_ += ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ += "_";
+    dir_ += std::to_string(::getpid());
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
     core::HmdConfig config;
@@ -568,6 +576,107 @@ TEST_F(WireSocketTest, FastTierEchoedAndWithinUlpOfExact) {
         << r;
   }
   ::close(fd);
+}
+
+// Two models on one connection: each (model, mode, tier) queue answers
+// when it flushes, so responses may overtake earlier requests of the
+// other model (serve/wire.h's ordering contract). Every response must
+// still carry its own request's id, row count and rows.
+TEST_F(WireSocketTest, TwoModelsOnOneConnectionAnswerByRequestId) {
+  const Matrix& x = test::small_dvfs().test.X;
+  core::HmdConfig config;
+  config.model = core::ModelKind::kBaggedLogistic;
+  config.n_members = 5;
+  config.n_threads = 1;
+  config.seed = 23;
+  core::TrustedHmd other(config);
+  other.fit(test::small_dvfs().train);
+  const std::string other_path = (dir_ / "other.hmdf").string();
+  core::save_model(other, other_path);
+  registry_->add("other", other_path);
+
+  api::ScoreRequest direct;
+  direct.x = &x;
+  direct.outputs = api::kDetectionOutputs;
+  api::ScoreResult want_m, want_other;
+  hmd_->score(direct, want_m);
+  other.score(direct, want_other);
+
+  struct Sent {
+    bool other = false;
+    std::size_t row_start = 0;
+    std::size_t rows = 0;
+  };
+  std::map<std::uint32_t, Sent> sent;
+  std::vector<unsigned char> bytes;
+  std::size_t row_start = 0;
+  for (std::uint32_t i = 0; i < 24; ++i) {
+    const Sent request{i % 2 == 1, row_start, 1 + i % 5};
+    const std::uint32_t id = 500 + 7 * i;  // ids that are not positions
+    serve::wire::append_request(bytes, id, request.other ? "other" : "m",
+                                api::kDetectionOutputs, std::nullopt,
+                                x.row_ptr(request.row_start), request.rows,
+                                x.cols());
+    sent[id] = request;
+    row_start = (row_start + request.rows) % (x.rows() - 8);
+  }
+  const int fd = connect_client();
+  send_all(fd, bytes);  // all pipelined before the first response
+  std::vector<unsigned char> storage;
+  for (std::size_t n = 0; n < 24; ++n) {
+    const Frame frame = read_frame(fd, storage);
+    ASSERT_EQ(frame.type, FrameType::kScoreResult);
+    const auto it = sent.find(frame.result.request_id);
+    ASSERT_NE(it, sent.end()) << "unknown or repeated id "
+                              << frame.result.request_id;
+    const Sent request = it->second;
+    sent.erase(it);
+    ASSERT_EQ(frame.result.rows, request.rows);
+    api::ScoreResult got;
+    serve::wire::unpack_result(frame.result, got);
+    const api::ScoreResult& want = request.other ? want_other : want_m;
+    for (std::size_t r = 0; r < request.rows; ++r) {
+      const std::size_t row = request.row_start + r;
+      EXPECT_EQ(got.prediction[r], want.prediction[row]);
+      EXPECT_EQ(std::memcmp(&got.score[r], &want.score[row], sizeof(double)),
+                0);
+      EXPECT_EQ(got.trusted[r], want.trusted[row]);
+    }
+  }
+  EXPECT_TRUE(sent.empty());
+  ::close(fd);
+}
+
+// Open loop, the generator stalls 200 ms before its first send: requests
+// due from the start count their latency from their due time, so the
+// stall shows. Closed loop has no schedule and counts from the send.
+TEST_F(WireSocketTest, StalledOpenLoopGeneratorCountsLatencyFromDueTime) {
+  const Matrix& x = test::small_dvfs().test.X;
+  serve::LoadGenOptions options;
+  options.port = server_->port();
+  options.model_key = "m";
+  options.source = &x;
+  options.rows_per_request = 2;
+  options.open_loop_rps = 50.0;  // due at 0, 20, 40 and 60 ms
+  options.total_requests = 4;
+  fail::Spec stall;
+  stall.action = fail::Spec::Action::kDelay;
+  stall.delay_ms = 200;
+  stall.count = 1;
+
+  fail::arm("loadgen.send", stall);
+  const serve::LoadGenReport open = serve::run_load(options);
+  EXPECT_EQ(open.results_ok, 4u);
+  EXPECT_GE(open.max_us, 200e3);  // due at 0, sent after the stall
+  EXPECT_GE(open.p50_us, 140e3);
+
+  fail::arm("loadgen.send", stall);
+  options.open_loop_rps = 0.0;
+  const serve::LoadGenReport closed = serve::run_load(options);
+  fail::disarm_all();
+  EXPECT_EQ(closed.results_ok, 4u);
+  EXPECT_EQ(fail::hit_count("loadgen.send"), 1);
+  EXPECT_LT(closed.max_us, 150e3);  // the stall precedes every send
 }
 
 TEST_F(WireSocketTest, FatalErrorAnswersThenCloses) {
